@@ -312,8 +312,7 @@ bool Session::checkMeta(std::string &Error) {
     Error = "demo META missing or not a tsr demo";
     return false;
   }
-  if (!R.readVarU64(Version) || (Version != Demo::FormatVersion &&
-                                 Version != Demo::LegacyFormatVersion)) {
+  if (!R.readVarU64(Version) || Version != Demo::FormatVersion) {
     Error = "demo format version mismatch";
     return false;
   }
@@ -401,7 +400,6 @@ RunReport Session::run(std::function<void()> MainFn) {
   SO.Seed0 = UsedSeed0;
   SO.Seed1 = UsedSeed1;
   SO.Controlled = Config.Controlled;
-  SO.Wake = Config.Wake;
   SO.TickCommit = Config.TickCommit;
   SO.AbortOnHardDesync = Config.AbortOnHardDesync;
   SO.AbortOnDeadlock = Config.AbortOnDeadlock;

@@ -185,12 +185,6 @@ struct SessionConfig {
   /// plain tsan11 (§2).
   bool Controlled = true;
 
-  /// How the scheduler wakes parked threads (sched/Scheduler.h). Targeted
-  /// per-thread parking is the default; Broadcast restores the legacy
-  /// global notify_all and exists as a measurable baseline
-  /// (bench/sched_throughput). Schedule semantics are identical.
-  WakePolicy Wake = WakePolicy::Targeted;
-
   /// How a tick is committed (sched/Scheduler.h). Pipelined — the
   /// ticket/epoch fast path that commits common-case ticks with a handful
   /// of atomics and falls back to the mutex for pending work — is the

@@ -7,6 +7,8 @@
 
 #include "runtime/SessionPool.h"
 
+#include "support/Host.h"
+
 #include <atomic>
 #include <cassert>
 #include <chrono>
@@ -139,12 +141,7 @@ FleetReport SessionPool::runAll() {
                                      std::make_move_iterator(Pending.end()));
   Pending.clear();
 
-  unsigned Workers = Opts.Concurrency;
-  if (Workers == 0) {
-    Workers = std::thread::hardware_concurrency();
-    if (Workers == 0)
-      Workers = 4;
-  }
+  unsigned Workers = Opts.Concurrency ? Opts.Concurrency : usableCpus();
   if (Workers > N)
     Workers = static_cast<unsigned>(N);
 

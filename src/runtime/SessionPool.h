@@ -109,7 +109,8 @@ struct FleetReport {
 class SessionPool {
 public:
   struct Options {
-    /// Sessions running concurrently; 0 means hardware_concurrency.
+    /// Sessions running concurrently; 0 means one per usable CPU
+    /// (support/Host.h).
     unsigned Concurrency = 0;
 
     /// Root directory for fleet recordings: session \c Name records into

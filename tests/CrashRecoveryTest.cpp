@@ -256,50 +256,6 @@ TEST(CrashRecovery, ChunkedCleanRunMatchesInMemoryDemo) {
 }
 
 //===----------------------------------------------------------------------===//
-// Legacy v2 demos still load and replay
-//===----------------------------------------------------------------------===//
-
-TEST(CrashRecovery, LegacyV2DemoLoadsAndReplays) {
-  SessionConfig C = fixedSeeds(presets::tsan11rec(
-      StrategyKind::Queue, Mode::Record, RecordPolicy::full()));
-  Session S(C);
-  const pbzip::PbzipConfig PC = workloadConfig();
-  S.env().putFile(PC.InputPath, workloadInput(100));
-  RunReport R = S.run([&PC] { pbzip::compressFile(PC); });
-
-  // Rewrite the demo exactly as the v2-era tool would have: v2 stream
-  // containers, and the META payload's format-version varint (right after
-  // the 8-byte "tsrdemo" string) saying 2.
-  Demo D = R.RecordedDemo;
-  std::vector<uint8_t> Meta = D.stream(StreamKind::Meta);
-  ASSERT_GT(Meta.size(), 8u);
-  ASSERT_EQ(Meta[8], Demo::FormatVersion);
-  Meta[8] = Demo::LegacyFormatVersion;
-  D.setStream(StreamKind::Meta, std::move(Meta));
-
-  const std::string Dir = freshDir("v2");
-  std::string Error;
-  ASSERT_TRUE(D.saveToDirectory(Dir, Error, Demo::LegacyFormatVersion))
-      << Error;
-
-  std::array<Demo::StreamCheck, NumStreamKinds> Checks;
-  ASSERT_TRUE(Demo::verifyDirectory(Dir, Checks, Error)) << Error;
-  for (const auto &Check : Checks)
-    if (Check.Present) {
-      EXPECT_EQ(Check.Version, Demo::LegacyFormatVersion);
-    }
-
-  Demo Loaded;
-  ASSERT_TRUE(Loaded.loadFromDirectory(Dir, Error)) << Error;
-  EXPECT_FALSE(Loaded.truncated());
-  EXPECT_TRUE(Loaded == D);
-
-  const RunReport RR = replayOnce(Loaded, Workload::Pbzip, 100);
-  EXPECT_EQ(RR.Desync, DesyncKind::None) << RR.DesyncInfo.Message;
-  std::filesystem::remove_all(Dir);
-}
-
-//===----------------------------------------------------------------------===//
 // Writer short-write handling
 //===----------------------------------------------------------------------===//
 

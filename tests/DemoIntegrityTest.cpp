@@ -116,6 +116,19 @@ std::string streamPath(const std::string &Dir, StreamKind Kind) {
   return Dir + "/" + streamName(Kind);
 }
 
+std::vector<uint8_t> readFileBytes(const std::string &Path) {
+  std::ifstream F(Path, std::ios::binary);
+  return std::vector<uint8_t>(std::istreambuf_iterator<char>(F),
+                              std::istreambuf_iterator<char>());
+}
+
+void writeFileBytes(const std::string &Path,
+                    const std::vector<uint8_t> &Bytes) {
+  std::ofstream F(Path, std::ios::binary | std::ios::trunc);
+  F.write(reinterpret_cast<const char *>(Bytes.data()),
+          static_cast<std::streamsize>(Bytes.size()));
+}
+
 void truncateFile(const std::string &Path, size_t DropBytes) {
   const auto Size = std::filesystem::file_size(Path);
   ASSERT_GE(Size, DropBytes);
@@ -209,31 +222,48 @@ TEST(DemoIntegrity, CorruptionMatrixNamesTheDamagedStream) {
   ASSERT_GT(R.RecordedDemo.streamSize(StreamKind::Queue), 0u);
 
   const std::string Dir = scratchDir("matrix");
+  enum class Damage { Truncate, BitFlip, Version2 };
   for (unsigned I = 0; I != NumStreamKinds; ++I) {
     const StreamKind Kind = static_cast<StreamKind>(I);
-    for (const bool Truncate : {true, false}) {
+    for (const Damage How : {Damage::Truncate, Damage::BitFlip,
+                             Damage::Version2}) {
       std::string Error;
       ASSERT_TRUE(R.RecordedDemo.saveToDirectory(Dir, Error)) << Error;
       const std::string File = streamPath(Dir, Kind);
       const size_t Size = std::filesystem::file_size(File);
-      if (Truncate) {
-        // Dropping the last byte truncates either the payload (length /
-        // CRC mismatch) or, for empty streams, the header itself.
+      std::string Case = streamName(Kind);
+      switch (How) {
+      case Damage::Truncate:
+        // Dropping the last byte tears the closing chunk frame.
         truncateFile(File, 1);
-      } else {
-        // Flip a payload bit when there is a payload, a header bit (in
-        // the length field) otherwise.
+        Case += " truncated";
+        break;
+      case Damage::BitFlip:
+        // Flip a bit mid-file: inside a chunk frame or payload when the
+        // stream has one, in the zeroed header tail otherwise.
         flipBit(File, Size > Demo::StreamHeaderSize
                           ? Demo::StreamHeaderSize + (Size - 16) / 2
                           : 10);
+        Case += " bit-flipped";
+        break;
+      case Damage::Version2: {
+        // A well-formed header of the retired format version 2.
+        std::vector<uint8_t> Bytes = readFileBytes(File);
+        Bytes[4] = 2;
+        writeFileBytes(File, Bytes);
+        Case += " version 2";
+        break;
+      }
       }
 
-      const std::string Case = std::string(streamName(Kind)) +
-                               (Truncate ? " truncated" : " bit-flipped");
       Demo D;
       EXPECT_FALSE(D.loadFromDirectory(Dir, Error)) << Case;
       EXPECT_NE(Error.find(streamName(Kind)), std::string::npos)
           << Case << ": " << Error;
+      if (How == Damage::Version2) {
+        EXPECT_NE(Error.find("version 2"), std::string::npos)
+            << Case << ": " << Error;
+      }
 
       std::array<Demo::StreamCheck, NumStreamKinds> Checks;
       EXPECT_FALSE(Demo::verifyDirectory(Dir, Checks, Error)) << Case;
@@ -443,19 +473,6 @@ TEST(FaultInjection, ReplayIgnoresConfiguredPlan) {
 
 // --- Seeded random-mutation chaos sweep ---------------------------------
 
-std::vector<uint8_t> readFileBytes(const std::string &Path) {
-  std::ifstream F(Path, std::ios::binary);
-  return std::vector<uint8_t>(std::istreambuf_iterator<char>(F),
-                              std::istreambuf_iterator<char>());
-}
-
-void writeFileBytes(const std::string &Path,
-                    const std::vector<uint8_t> &Bytes) {
-  std::ofstream F(Path, std::ios::binary | std::ios::trunc);
-  F.write(reinterpret_cast<const char *>(Bytes.data()),
-          static_cast<std::streamsize>(Bytes.size()));
-}
-
 /// Applies one seeded random mutation to a random stream file of \p Dir:
 /// a bit flip, a truncation, or a duplicated byte range inserted at a
 /// random offset. Returns a description for failure messages.
@@ -505,8 +522,7 @@ size_t chaosMutantCount() {
 }
 
 /// The chaos acceptance property: EVERY seeded mutant of an on-disk demo
-/// (current v3 and legacy v2 framing alike) must fall into one of three
-/// bins — clean load, repairable salvage, or a typed load error — and a
+/// must fall into one of three bins — clean load, repairable salvage, or a typed load error — and a
 /// loadable mutant must replay to completion under Adaptive recovery.
 /// Crashes and hangs are the only failure; the sweep is the fuzz corpus
 /// for the demo decoder and the recovery subsystem at once.
@@ -516,47 +532,43 @@ TEST(DemoChaos, SeededMutationSweepNeverCrashes) {
   const std::string Dir = scratchDir("chaos");
   const size_t Mutants = chaosMutantCount();
 
-  for (const uint32_t Version :
-       {Demo::FormatVersion, Demo::LegacyFormatVersion}) {
-    for (size_t I = 0; I != Mutants; ++I) {
-      std::string Error;
-      ASSERT_TRUE(Rec.RecordedDemo.saveToDirectory(Dir, Error, Version))
-          << Error;
-      Prng Rng(0xC5A05EEDull + Version, 0xD15EA5Eull + I);
-      std::string Case;
-      const size_t NumMutations = 1 + Rng.nextBelow(3);
-      for (size_t M = 0; M != NumMutations; ++M)
-        Case += mutateDemoDirectory(Dir, Rng) + "; ";
+  for (size_t I = 0; I != Mutants; ++I) {
+    std::string Error;
+    ASSERT_TRUE(Rec.RecordedDemo.saveToDirectory(Dir, Error)) << Error;
+    Prng Rng(0xC5A05EEDull + Demo::FormatVersion, 0xD15EA5Eull + I);
+    std::string Case;
+    const size_t NumMutations = 1 + Rng.nextBelow(3);
+    for (size_t M = 0; M != NumMutations; ++M)
+      Case += mutateDemoDirectory(Dir, Rng) + "; ";
 
-      Demo D;
-      std::string LoadError;
-      bool Loadable = D.loadFromDirectory(Dir, LoadError);
-      if (!Loadable) {
-        // Damaged: the error must be typed (non-empty), and salvage must
-        // either repair to a loadable prefix or fail with its own typed
-        // error — never crash.
-        EXPECT_FALSE(LoadError.empty()) << Case;
-        Demo::SalvageReport Rep;
-        std::string SalvageError;
-        if (Demo::salvageDirectory(Dir, Rep, SalvageError)) {
-          Loadable = D.loadFromDirectory(Dir, LoadError);
-          EXPECT_TRUE(Loadable || !LoadError.empty()) << Case;
-        } else {
-          EXPECT_FALSE(SalvageError.empty()) << Case;
-        }
+    Demo D;
+    std::string LoadError;
+    bool Loadable = D.loadFromDirectory(Dir, LoadError);
+    if (!Loadable) {
+      // Damaged: the error must be typed (non-empty), and salvage must
+      // either repair to a loadable prefix or fail with its own typed
+      // error — never crash.
+      EXPECT_FALSE(LoadError.empty()) << Case;
+      Demo::SalvageReport Rep;
+      std::string SalvageError;
+      if (Demo::salvageDirectory(Dir, Rep, SalvageError)) {
+        Loadable = D.loadFromDirectory(Dir, LoadError);
+        EXPECT_TRUE(Loadable || !LoadError.empty()) << Case;
+      } else {
+        EXPECT_FALSE(SalvageError.empty()) << Case;
       }
+    }
 
-      if (Loadable) {
-        // Survivors must replay to completion under Adaptive recovery:
-        // soft desyncs and recovery actions are fine, wedging is not.
-        SessionConfig C = baseConfig(Mode::Replay, hostilePolicy());
-        C.ReplayDemo = &D;
-        C.Recovery.Mode = RecoveryMode::Adaptive;
-        Session S(C);
-        std::vector<int64_t> ReplayTrace;
-        RunReport Rep = S.run([&ReplayTrace] { hostileClient(ReplayTrace); });
-        EXPECT_FALSE(Rep.DesyncInfo.Message.empty()) << Case;
-      }
+    if (Loadable) {
+      // Survivors must replay to completion under Adaptive recovery:
+      // soft desyncs and recovery actions are fine, wedging is not.
+      SessionConfig C = baseConfig(Mode::Replay, hostilePolicy());
+      C.ReplayDemo = &D;
+      C.Recovery.Mode = RecoveryMode::Adaptive;
+      Session S(C);
+      std::vector<int64_t> ReplayTrace;
+      RunReport Rep = S.run([&ReplayTrace] { hostileClient(ReplayTrace); });
+      EXPECT_FALSE(Rep.DesyncInfo.Message.empty()) << Case;
     }
   }
   std::filesystem::remove_all(Dir);
