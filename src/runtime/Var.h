@@ -19,6 +19,7 @@
 
 #include "runtime/Session.h"
 
+#include <atomic>
 #include <type_traits>
 
 namespace tsr {
@@ -50,7 +51,11 @@ public:
     const AccessContext C = Session::currentAccessContext();
     if (C.S)
       C.S->race().onPlainRead(C.T, addr(), sizeof(T));
-    return Value;
+    if constexpr (HostAtomic)
+      return std::atomic_ref<T>(const_cast<T &>(Value))
+          .load(std::memory_order_relaxed);
+    else
+      return Value;
   }
 
   /// Instrumented write.
@@ -58,7 +63,10 @@ public:
     const AccessContext C = Session::currentAccessContext();
     if (C.S)
       C.S->race().onPlainWrite(C.T, addr(), sizeof(T));
-    Value = V;
+    if constexpr (HostAtomic)
+      std::atomic_ref<T>(Value).store(V, std::memory_order_relaxed);
+    else
+      Value = V;
   }
 
   operator T() const { return get(); }
@@ -68,6 +76,16 @@ public:
   }
 
 private:
+  /// Invisible operations of different threads run in parallel, so a
+  /// racy program — the detector's subject — really does touch Value
+  /// from two host threads at once. For scalars the host access is a
+  /// relaxed atomic (a plain move on mainstream targets), which keeps
+  /// the host program free of undefined behaviour and ThreadSanitizer
+  /// quiet without changing what the race detector reports.
+  static constexpr bool HostAtomic =
+      std::atomic_ref<T>::is_always_lock_free &&
+      std::atomic_ref<T>::required_alignment == alignof(T);
+
   uintptr_t addr() const { return reinterpret_cast<uintptr_t>(&Value); }
 
   T Value;
