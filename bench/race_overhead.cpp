@@ -1,20 +1,17 @@
-//===-- bench/race_overhead.cpp - Shadow-memory backend comparison -------===//
+//===-- bench/race_overhead.cpp - Shadow-memory race-check cost ----------===//
 //
 // Part of the tsr project: a reproduction of "Sparse Record and Replay with
 // Controlled Scheduling" (PLDI 2019).
 //
-// Measures what the two-level packed shadow memory (DESIGN.md §10) buys
-// over the legacy striped-map baseline:
+// Measures the two-level packed shadow memory (DESIGN.md §10):
 //
 //  1. disjoint-granule plain-access throughput, swept over {1, 2, 4, 8}
-//     threads x {striped, twolevel} backends — the same-epoch fast path
-//     replaces a stripe mutex + hash lookup per access with one relaxed
-//     load, so this is a direct read of per-access detector cost;
-//  2. end-to-end pbzip and PARSEC-kernel runs per backend, reporting the
+//     threads — the same-epoch fast path decides most accesses with one
+//     relaxed load, so this is a direct read of per-access detector cost;
+//  2. end-to-end pbzip and PARSEC bodytrack runs, reporting the
 //     same-epoch hit fraction of all plain accesses;
-//  3. record/replay of every race-heavy litmus app: the demo recorded
-//     under the two-level backend is replayed under both backends and
-//     the race-report sets compared — semantics must be identical.
+//  3. record/replay of every litmus app: the race reports of the replay
+//     must equal those of the recording.
 //
 // Emits BENCH_race_overhead.json alongside the tables.
 //
@@ -36,24 +33,18 @@ using namespace tsr::bench;
 
 namespace {
 
-const char *backendName(RaceShadowMode Shadow) {
-  return Shadow == RaceShadowMode::TwoLevel ? "twolevel" : "striped";
-}
-
 //===----------------------------------------------------------------------===//
 // Part 1: disjoint-granule plain-access throughput
 //===----------------------------------------------------------------------===//
 
 struct CellResult {
   std::string Name;
-  const char *Backend = "";
   int Threads = 0;
   SampleStats AccessesPerSec;
   SampleStats WallMs;
   uint64_t PlainAccesses = 0; ///< Last repetition.
   uint64_t SameEpochHits = 0; ///< Last repetition.
   uint64_t FastPathHits = 0;  ///< Last repetition.
-  double SpeedupVsStriped = 0; ///< Filled after both backends ran.
 };
 
 constexpr int SlotsPerThread = 64;
@@ -64,18 +55,15 @@ constexpr int BurstLen = 8;
 /// of each burst takes the slow path, the repeats are the fast path's
 /// best case — which is exactly the pattern tight loops over Var<T>
 /// produce.
-CellResult measureDisjoint(RaceShadowMode Shadow, int Threads, int Reps,
-                           int Iters) {
+CellResult measureDisjoint(int Threads, int Reps, int Iters) {
   CellResult Out;
-  Out.Backend = backendName(Shadow);
-  Out.Name = std::string(Out.Backend) + "-" + std::to_string(Threads);
+  Out.Name = "disjoint-" + std::to_string(Threads);
   Out.Threads = Threads;
   for (int Rep = 0; Rep != Reps; ++Rep) {
     SessionConfig C;
     C.Strategy = StrategyKind::Random;
     C.ExecMode = Mode::Free;
     C.Controlled = true;
-    C.RaceShadow = Shadow;
     C.RaceDetection = true;
     C.WeakMemory = false;
     C.LivenessIntervalMs = 0;
@@ -126,26 +114,22 @@ CellResult measureDisjoint(RaceShadowMode Shadow, int Threads, int Reps,
 }
 
 //===----------------------------------------------------------------------===//
-// Part 2: end-to-end app runs per backend
+// Part 2: end-to-end app runs
 //===----------------------------------------------------------------------===//
 
 struct AppResult {
   std::string Name;
-  const char *Backend = "";
   SampleStats WallMs;
   uint64_t PlainAccesses = 0;
   uint64_t SameEpochHits = 0;
   double SameEpochFraction = 0;
 };
 
-AppResult measureApp(const std::string &App, RaceShadowMode Shadow, int Reps,
-                     int InputRepeats) {
+AppResult measureApp(const std::string &App, int Reps, int InputRepeats) {
   AppResult Out;
-  Out.Backend = backendName(Shadow);
-  Out.Name = App + "-" + Out.Backend;
+  Out.Name = App;
   for (int Rep = 0; Rep != Reps; ++Rep) {
     SessionConfig C = presets::tsan11rec(StrategyKind::Random);
-    C.RaceShadow = Shadow;
     C.LivenessIntervalMs = 0;
     seedFor(C, static_cast<uint64_t>(Rep), 59);
     Session S(C);
@@ -191,19 +175,19 @@ AppResult measureApp(const std::string &App, RaceShadowMode Shadow, int Reps,
 }
 
 //===----------------------------------------------------------------------===//
-// Part 3: cross-backend record/replay race-report identity
+// Part 3: record/replay race-report identity
 //===----------------------------------------------------------------------===//
 
 /// Address-free report signature: addresses differ run to run (stack and
-/// heap layout), but kind pair, size and the registered name are stable
-/// properties of the schedule the demo pins down.
-using ReportSig = std::tuple<int, int, size_t, std::string>;
+/// heap layout), but kind pair, size, thread pair and the registered name
+/// are stable properties of the schedule the demo pins down.
+using ReportSig = std::tuple<int, int, size_t, Tid, Tid, std::string>;
 
 std::vector<ReportSig> signatures(const std::vector<RaceReport> &Reports) {
   std::vector<ReportSig> Out;
   for (const RaceReport &R : Reports)
     Out.emplace_back(static_cast<int>(R.Prior), static_cast<int>(R.Current),
-                     R.Size, R.Name);
+                     R.Size, R.PriorTid, R.CurrentTid, R.Name);
   std::sort(Out.begin(), Out.end());
   return Out;
 }
@@ -221,7 +205,6 @@ LitmusResult measureLitmus() {
     ++Out.Apps;
     SessionConfig RC = presets::tsan11rec(StrategyKind::Random, Mode::Record,
                                           RecordPolicy::httpd());
-    RC.RaceShadow = RaceShadowMode::TwoLevel;
     RC.LivenessIntervalMs = 0;
     seedFor(RC, 3, 67);
     Demo D;
@@ -235,22 +218,17 @@ LitmusResult measureLitmus() {
     Out.RecordedReports += Recorded.size();
     if (!Recorded.empty())
       ++Out.AppsWithRaces;
-    for (const RaceShadowMode Shadow :
-         {RaceShadowMode::TwoLevel, RaceShadowMode::StripedMap}) {
-      SessionConfig PC = presets::tsan11rec(StrategyKind::Random, Mode::Replay,
-                                            RecordPolicy::httpd());
-      PC.RaceShadow = Shadow;
-      PC.ReplayDemo = &D;
-      PC.LivenessIntervalMs = 0;
-      Session S(PC);
-      RunReport R = S.run(T.Body);
-      if (signatures(R.Races) != Recorded) {
-        Out.IdenticalReports = false;
-        std::fprintf(stderr,
-                     "report mismatch: %s under %s (%zu vs %zu reports)\n",
-                     T.Name.c_str(), backendName(Shadow), R.Races.size(),
-                     Recorded.size());
-      }
+    SessionConfig PC = presets::tsan11rec(StrategyKind::Random, Mode::Replay,
+                                          RecordPolicy::httpd());
+    PC.ReplayDemo = &D;
+    PC.LivenessIntervalMs = 0;
+    Session S(PC);
+    RunReport R = S.run(T.Body);
+    if (signatures(R.Races) != Recorded) {
+      Out.IdenticalReports = false;
+      std::fprintf(stderr,
+                   "report mismatch: %s replayed %zu vs recorded %zu\n",
+                   T.Name.c_str(), R.Races.size(), Recorded.size());
     }
   }
   return Out;
@@ -263,44 +241,32 @@ int main() {
   const int Iters = envInt("TSR_BENCH_RACE_ITERS", 150);
   const int InputRepeats = envInt("TSR_BENCH_INPUT_REPEATS", 2000);
 
-  std::printf("Race-detection overhead: two-level packed shadow vs striped "
-              "map\n(disjoint-granule workload, %d reps, %d iters, %d slots "
+  std::printf("Race-detection overhead: two-level packed shadow memory\n"
+              "(disjoint-granule workload, %d reps, %d iters, %d slots "
               "x %d-access bursts per thread)\n\n",
               Reps, Iters, SlotsPerThread, BurstLen);
 
   std::vector<CellResult> Cells;
-  for (int Threads : {1, 2, 4, 8}) {
-    CellResult Striped =
-        measureDisjoint(RaceShadowMode::StripedMap, Threads, Reps, Iters);
-    CellResult TwoLevel =
-        measureDisjoint(RaceShadowMode::TwoLevel, Threads, Reps, Iters);
-    const double Base = Striped.AccessesPerSec.mean();
-    Striped.SpeedupVsStriped = 1.0;
-    TwoLevel.SpeedupVsStriped =
-        Base > 0 ? TwoLevel.AccessesPerSec.mean() / Base : 0.0;
-    Cells.push_back(Striped);
-    Cells.push_back(TwoLevel);
-  }
+  for (int Threads : {1, 2, 4, 8})
+    Cells.push_back(measureDisjoint(Threads, Reps, Iters));
 
-  const std::vector<int> W = {13, 18, 12, 9, 12, 12, 12};
+  const std::vector<int> W = {13, 18, 12, 12, 12, 12};
   printRule(W);
-  printRow({"config", "accesses/sec", "wall ms", "speedup", "plain",
-            "same-epoch", "fast-path"},
+  printRow({"config", "accesses/sec", "wall ms", "plain", "same-epoch",
+            "fast-path"},
            W);
   printRule(W);
   for (const CellResult &R : Cells)
     printRow({R.Name, meanSd(R.AccessesPerSec, 0), meanSd(R.WallMs, 1),
-              fmt(R.SpeedupVsStriped, 2) + "x", std::to_string(R.PlainAccesses),
+              std::to_string(R.PlainAccesses),
               std::to_string(R.SameEpochHits), std::to_string(R.FastPathHits)},
              W);
   printRule(W);
 
-  std::printf("\nEnd-to-end apps (4 threads, per backend)\n\n");
+  std::printf("\nEnd-to-end apps (4 threads)\n\n");
   std::vector<AppResult> Apps;
   for (const char *App : {"pbzip", "bodytrack"})
-    for (const RaceShadowMode Shadow :
-         {RaceShadowMode::StripedMap, RaceShadowMode::TwoLevel})
-      Apps.push_back(measureApp(App, Shadow, Reps, InputRepeats));
+    Apps.push_back(measureApp(App, Reps, InputRepeats));
   const std::vector<int> AW = {20, 18, 12, 12, 12};
   printRule(AW);
   printRow({"app", "wall ms", "plain", "same-epoch", "hit frac"}, AW);
@@ -311,10 +277,10 @@ int main() {
              AW);
   printRule(AW);
 
-  std::printf("\nCross-backend record/replay identity (litmus suite)\n");
+  std::printf("\nRecord/replay race-report identity (litmus suite)\n");
   const LitmusResult L = measureLitmus();
   std::printf("  apps: %d, with races: %d, recorded reports: %zu, "
-              "identical across backends: %s\n",
+              "identical on replay: %s\n",
               L.Apps, L.AppsWithRaces, L.RecordedReports,
               L.IdenticalReports ? "yes" : "NO");
 
@@ -332,15 +298,14 @@ int main() {
     const CellResult &R = Cells[I];
     std::fprintf(
         F,
-        "    {\"name\": \"%s\", \"backend\": \"%s\", \"threads\": %d,\n"
+        "    {\"name\": \"%s\", \"threads\": %d,\n"
         "     \"plain_accesses\": %llu, \"same_epoch_hits\": %llu, "
         "\"fast_path_hits\": %llu,\n"
-        "     \"speedup_vs_striped\": %.3f,\n"
         "     \"accesses_per_sec\": %s,\n     \"wall_ms\": %s}%s\n",
-        R.Name.c_str(), R.Backend, R.Threads,
+        R.Name.c_str(), R.Threads,
         static_cast<unsigned long long>(R.PlainAccesses),
         static_cast<unsigned long long>(R.SameEpochHits),
-        static_cast<unsigned long long>(R.FastPathHits), R.SpeedupVsStriped,
+        static_cast<unsigned long long>(R.FastPathHits),
         R.AccessesPerSec.toJson(8).c_str(), R.WallMs.toJson(8).c_str(),
         I + 1 == Cells.size() ? "" : ",");
   }
@@ -348,11 +313,11 @@ int main() {
   for (size_t I = 0; I != Apps.size(); ++I) {
     const AppResult &R = Apps[I];
     std::fprintf(F,
-                 "    {\"name\": \"%s\", \"backend\": \"%s\",\n"
+                 "    {\"name\": \"%s\",\n"
                  "     \"plain_accesses\": %llu, \"same_epoch_hits\": %llu, "
                  "\"same_epoch_fraction\": %.3f,\n"
                  "     \"wall_ms\": %s}%s\n",
-                 R.Name.c_str(), R.Backend,
+                 R.Name.c_str(),
                  static_cast<unsigned long long>(R.PlainAccesses),
                  static_cast<unsigned long long>(R.SameEpochHits),
                  R.SameEpochFraction, R.WallMs.toJson(8).c_str(),

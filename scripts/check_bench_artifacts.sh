@@ -59,8 +59,8 @@ check BENCH_recovery.json \
   p50 p95 p99
 
 check BENCH_race_overhead.json \
-  bench workload reps iters configs name backend threads plain_accesses \
-  same_epoch_hits fast_path_hits speedup_vs_striped accesses_per_sec \
+  bench workload reps iters configs name threads plain_accesses \
+  same_epoch_hits fast_path_hits accesses_per_sec \
   wall_ms apps same_epoch_fraction litmus identical_reports p50 p95 p99
 
 check BENCH_fleet_throughput.json \

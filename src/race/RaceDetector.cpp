@@ -41,8 +41,6 @@ std::string RaceReport::str() const {
       accessKindName(Prior), PriorTid);
 }
 
-RaceDetector::RaceDetector(RaceShadowMode Shadow) : Shadow(Shadow) {}
-
 RaceDetector::~RaceDetector() {
   for (ThreadCell &Cell : Threads)
     delete Cell.VC.load(std::memory_order_relaxed);
@@ -154,12 +152,6 @@ void RaceDetector::access(Tid T, uintptr_t Addr, size_t Size,
     const uintptr_t Hi = std::min<uintptr_t>(Addr + Size, (G + 1) << 3);
     const uint8_t Off = static_cast<uint8_t>(Lo - (G << 3));
     const uint8_t Sz = static_cast<uint8_t>(Hi - Lo);
-    if (Shadow == RaceShadowMode::StripedMap) {
-      Stripe &S = stripeFor(G);
-      std::lock_guard<std::mutex> L(S.Mu);
-      checkCell(T, G, S.Cells[G], Off, Sz, Kind, *VC, TS);
-      continue;
-    }
     Table::Page &P = Pages.pageFor(G);
     Table::FastCell &F = P.fast(G);
     if (Plain && TSR_LIKELY(tryFastPath(F, T, E, Off, Sz, Kind, TS)))
@@ -176,9 +168,9 @@ void RaceDetector::access(Tid T, uintptr_t Addr, size_t Size,
 // already performed the *identical* access (same tid, epoch, and byte
 // range) and no other state could make the full check report a new race
 // or change the cell — the slow path would be an exact no-op. The match
-// is exact rather than merely covering so the backends stay bit-identical:
-// the slow path narrows a same-epoch slot's remembered range on
-// re-access, and skipping that narrowing would alter later checks.
+// is exact rather than merely covering so reports match the slow path
+// alone: it narrows a same-epoch slot's remembered range on re-access,
+// and skipping that narrowing would alter later checks.
 // Relaxed loads are sound: plain accesses are unordered by construction,
 // so any stale view the loads produce corresponds to a legal
 // serialisation of those accesses — and the fast path never mutates, so a
@@ -434,14 +426,6 @@ void RaceDetector::forgetRange(uintptr_t Addr, size_t Size) {
     return;
   const uintptr_t FirstGranule = Addr >> 3;
   const uintptr_t LastGranule = (Addr + Size - 1) >> 3;
-  if (Shadow == RaceShadowMode::StripedMap) {
-    for (uintptr_t G = FirstGranule; G <= LastGranule; ++G) {
-      Stripe &S = stripeFor(G);
-      std::lock_guard<std::mutex> L(S.Mu);
-      S.Cells.erase(G);
-    }
-    return;
-  }
   const uintptr_t FirstPage = FirstGranule >> Table::PageShift;
   const uintptr_t LastPage = LastGranule >> Table::PageShift;
   for (uintptr_t PI = FirstPage; PI <= LastPage; ++PI) {

@@ -13,15 +13,13 @@
 /// with a prior access not ordered by happens-before is a race.
 ///
 /// Plain (non-atomic) accesses are invisible operations and may be checked
-/// concurrently. The default shadow backend is a two-level page table
+/// concurrently. Shadow memory is a two-level page table
 /// (support/ShadowTable.h) whose common case — the FastTrack same-epoch
 /// hit, where the accessing thread re-touches bytes it already touched at
 /// its current epoch — is decided by one relaxed load of a packed 64-bit
 /// shadow word with zero locks (DESIGN.md §10). Inflated state (read
 /// vector clocks, cross-thread transitions) falls back to a per-page
-/// mutex. The legacy striped unordered_map backend is kept behind
-/// RaceShadowMode::StripedMap as a measurable baseline
-/// (bench/race_overhead); detection semantics are identical.
+/// mutex.
 ///
 /// Synchronisation updates (acquire/release/fork/join) happen inside
 /// scheduler critical sections and need no extra locking: a thread's clock
@@ -43,23 +41,12 @@
 #include <map>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
 namespace tsr {
 
 class TraceRecorder;
-
-/// Which shadow-memory backend stores per-granule access history.
-enum class RaceShadowMode : uint8_t {
-  /// Two-level page table with the packed-word lock-free same-epoch fast
-  /// path (DESIGN.md §10). The default.
-  TwoLevel,
-  /// The legacy striped unordered_map: a stripe mutex plus a hash lookup
-  /// on every access. Kept as the baseline for bench/race_overhead.
-  StripedMap,
-};
 
 /// Detector-internal counters surfaced through the metrics registry
 /// (race.* in RunReport::Metrics).
@@ -81,13 +68,11 @@ public:
   /// 16-bit field of the packed shadow word.
   static constexpr size_t MaxThreads = 1024;
 
-  explicit RaceDetector(RaceShadowMode Shadow = RaceShadowMode::TwoLevel);
+  RaceDetector() = default;
   ~RaceDetector();
 
   RaceDetector(const RaceDetector &) = delete;
   RaceDetector &operator=(const RaceDetector &) = delete;
-
-  RaceShadowMode shadowMode() const { return Shadow; }
 
   /// Registers the main thread (tid 0).
   void registerMainThread();
@@ -135,8 +120,8 @@ public:
   std::string resolveName(uintptr_t Addr);
 
   /// Drops all shadow state for a range (storage reuse after free would
-  /// otherwise produce false races). Thread-safe. Under the two-level
-  /// backend, pages fully inside the range are retired whole in O(1).
+  /// otherwise produce false races). Thread-safe. Pages fully inside the
+  /// range are retired whole in O(1).
   void forgetRange(uintptr_t Addr, size_t Size);
 
   /// Collected race reports (deduplicated per granule + kind pair).
@@ -192,7 +177,7 @@ private:
     bool HasAtomicReads = false;
   };
 
-  // --- Packed shadow words (two-level backend fast path).
+  // --- Packed shadow words (the lock-free fast path).
   //
   // An AccessSlot packs into 64 bits as epoch:40 | tid:16 | off:4 | size:4.
   // Zero means "no state" (a valid slot has E >= 1 and Size >= 1).
@@ -208,17 +193,6 @@ private:
     return (static_cast<uint64_t>(E) << 24) | (static_cast<uint64_t>(T) << 8) |
            (static_cast<uint64_t>(Off & 0xF) << 4) |
            static_cast<uint64_t>(Size & 0xF);
-  }
-
-  struct Stripe {
-    std::mutex Mu;
-    std::unordered_map<uintptr_t, ShadowCell> Cells;
-  };
-
-  static constexpr size_t NumStripes = 64;
-
-  Stripe &stripeFor(uintptr_t Granule) {
-    return Stripes[(Granule * 0x9E3779B97F4A7C15ull >> 32) % NumStripes];
   }
 
   using Table = ShadowTable<ShadowCell>;
@@ -256,8 +230,6 @@ private:
   /// report that resolves to no name stays unnamed.
   void resolvePendingNamesLocked();
 
-  const RaceShadowMode Shadow;
-
   bool EnabledFlag = true;
 
   /// Optional execution-trace recorder (see setTrace).
@@ -269,10 +241,7 @@ private:
   std::array<ThreadCell, MaxThreads> Threads;
   std::mutex ClocksMu;
 
-  /// Legacy striped backend (RaceShadowMode::StripedMap).
-  std::array<Stripe, NumStripes> Stripes;
-
-  /// Two-level backend (RaceShadowMode::TwoLevel).
+  /// Per-granule shadow state.
   Table Pages;
 
   std::mutex ReportsMu;

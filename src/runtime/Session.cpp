@@ -193,6 +193,20 @@ std::vector<ParkedScheduler> &parkedList() {
       new std::vector<ParkedScheduler>();
   return *V;
 }
+
+/// Decodes the body of one SYSCALL record — what Session::recordSyscall
+/// writes after the kind varint. False if the stream ends or is
+/// undecodable mid-body.
+bool readSyscallBody(ByteReader &In, SyscallResult &R) {
+  int64_t Ret;
+  uint64_t Err;
+  if (!In.readVarI64(Ret) || !In.readVarU64(Err) ||
+      !rle::decodeBytes(In, R.OutBuf))
+    return false;
+  R.Ret = Ret;
+  R.Err = static_cast<int>(Err);
+  return true;
+}
 } // namespace
 
 Session *Session::current() {
@@ -436,7 +450,7 @@ RunReport Session::run(std::function<void()> MainFn) {
   SchedOwner = std::make_unique<Scheduler>(SO, &RecordDemo, Config.ReplayDemo);
   Sched = SchedOwner.get();
 
-  Race = std::make_unique<RaceDetector>(Config.RaceShadow);
+  Race = std::make_unique<RaceDetector>();
   Race->setEnabled(Config.RaceDetection);
   Race->setTrace(Tracer.get());
   AtomicModelOptions AO;
@@ -1104,12 +1118,8 @@ SyscallResult Session::replaySyscall(SyscallKind Kind, Tid Self,
       uint64_t ScanK = K;
       while (Skipped < Config.Recovery.SyscallSearchWindow) {
         // Skip the current (mismatched) record's body.
-        int64_t SkipRet;
-        uint64_t SkipErr;
-        std::vector<uint8_t> SkipBuf;
-        if (!SyscallReader.readVarI64(SkipRet) ||
-            !SyscallReader.readVarU64(SkipErr) ||
-            !rle::decodeBytes(SyscallReader, SkipBuf))
+        SyscallResult Skip;
+        if (!readSyscallBody(SyscallReader, Skip))
           break;
         ++Skipped;
         if (SyscallReader.atEnd())
@@ -1119,15 +1129,7 @@ SyscallResult Session::replaySyscall(SyscallKind Kind, Tid Self,
           break;
         if (ScanK != static_cast<uint64_t>(Kind))
           continue;
-        int64_t Ret;
-        uint64_t Err;
-        if (!SyscallReader.readVarI64(Ret) ||
-            !SyscallReader.readVarU64(Err) ||
-            !rle::decodeBytes(SyscallReader, R.OutBuf))
-          break;
-        R.Ret = Ret;
-        R.Err = static_cast<int>(Err);
-        Matched = true;
+        Matched = readSyscallBody(SyscallReader, R);
         break;
       }
       if (Matched) {
@@ -1195,10 +1197,7 @@ SyscallResult Session::replaySyscall(SyscallKind Kind, Tid Self,
     return SyscallResult();
   }
   SyscallResult R;
-  int64_t Ret;
-  uint64_t Err;
-  if (!SyscallReader.readVarI64(Ret) || !SyscallReader.readVarU64(Err) ||
-      !rle::decodeBytes(SyscallReader, R.OutBuf)) {
+  if (!readSyscallBody(SyscallReader, R)) {
     if (Config.ReplayDemo->truncated() ||
         RMode == RecoveryMode::Adaptive) {
       // A salvaged recording may end mid-record; that is truncation, not
@@ -1237,8 +1236,6 @@ SyscallResult Session::replaySyscall(SyscallKind Kind, Tid Self,
     IssueNative = true; // Hard desync: the run finishes uncontrolled.
     return SyscallResult();
   }
-  R.Ret = Ret;
-  R.Err = static_cast<int>(Err);
   SyscallDivergenceStreak[Self] = 0;
   return R;
 }

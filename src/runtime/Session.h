@@ -188,20 +188,14 @@ struct SessionConfig {
   /// How a tick is committed (sched/Scheduler.h). Pipelined — the
   /// ticket/epoch fast path that commits common-case ticks with a handful
   /// of atomics and falls back to the mutex for pending work — is the
-  /// default; Mutex restores the all-ticks-under-Mu baseline and exists
-  /// as the bit-identity oracle (bench/sched_throughput). The schedule,
-  /// recordings, and replays are identical across both modes.
+  /// default; Mutex restores the all-ticks-under-Mu baseline that
+  /// bench/sched_throughput measures against. The schedule, recordings,
+  /// and replays are identical across both modes; the committed golden
+  /// digests (tests/GoldenDemoTest.cpp) check that identity.
   TickCommitMode TickCommit = TickCommitMode::Pipelined;
 
   /// Enable happens-before race detection.
   bool RaceDetection = true;
-
-  /// Shadow-memory backend for the race detector (race/RaceDetector.h).
-  /// The two-level packed table with the lock-free same-epoch fast path
-  /// is the default; StripedMap restores the legacy striped hash map and
-  /// exists as a measurable baseline (bench/race_overhead). Detection
-  /// semantics are identical.
-  RaceShadowMode RaceShadow = RaceShadowMode::TwoLevel;
 
   /// Enable tsan11 weak-memory semantics for atomics; false restricts the
   /// model to sequential consistency.

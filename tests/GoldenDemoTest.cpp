@@ -9,14 +9,18 @@
 // must match a committed (size, CRC-32) digest, together with the tick
 // count and the virtual makespan. Under the random strategy the QUEUE
 // stream is empty, so Ticks and VirtualNs are what pin the schedule
-// itself. A four-session SessionPool fleet must reproduce the same
-// digests session by session.
+// itself. Each row also pins the race detector's output: the report
+// count and a CRC-32 over the sorted address-free report tuples. A
+// four-session SessionPool fleet must reproduce the same digests session
+// by session.
 //
 // The digests are the equivalence oracle for everything that must not
-// move a schedule or a demo byte: how parked threads are woken, how a
-// tick is committed, how streams are framed and written. A deliberate
-// format or schedule change shows up here as a failing test that prints
-// the actual table; paste the printed row(s) over the committed ones.
+// move a schedule, a demo byte or a race report: how parked threads are
+// woken, how a tick is committed, how streams are framed and written,
+// how shadow memory stores access history. A deliberate format,
+// schedule or detection change shows up here as a failing test that
+// prints the actual table; paste the printed row(s) over the committed
+// ones.
 // Queue-strategy recordings are FCFS (OS arrival order) and are not
 // byte-stable by design, so they are not pinned here.
 //
@@ -31,6 +35,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cinttypes>
 #include <cstdio>
@@ -56,29 +61,33 @@ struct StreamDigest {
 };
 
 /// One recording's digest: the five stream files (META, QUEUE, SIGNAL,
-/// SYSCALL, ASYNC order) plus the schedule length and virtual makespan.
+/// SYSCALL, ASYNC order), the schedule length and virtual makespan, and
+/// the race reports (count, and CRC-32 of raceDigestText).
 struct GoldenRow {
   std::string Name;
   std::array<StreamDigest, NumStreamKinds> Streams;
   uint64_t Ticks = 0;
   uint64_t VirtualNs = 0;
+  uint64_t Races = 0;
+  uint32_t RaceCrc = 0;
   bool operator==(const GoldenRow &O) const {
     return Name == O.Name && Streams == O.Streams && Ticks == O.Ticks &&
-           VirtualNs == O.VirtualNs;
+           VirtualNs == O.VirtualNs && Races == O.Races &&
+           RaceCrc == O.RaceCrc;
   }
 };
 
 // clang-format off
 const GoldenRow Golden[] = {
-    {"pbzip", {{{91, 0xcb70d1ff}, {904, 0xef9b03df}, {904, 0x5e4f88a3}, {3064, 0x0efbf97a}, {904, 0xe697981a}}}, 143, 537680},
-    {"barrier", {{{91, 0xcb70d1ff}, {136, 0x3806ba61}, {136, 0x9f2b58f0}, {136, 0xfdcff97f}, {136, 0x0a019b93}}}, 12, 24000},
-    {"chase-lev-deque", {{{91, 0xcb70d1ff}, {640, 0x738a376d}, {640, 0xb2368543}, {640, 0xf2a2eb59}, {640, 0xea3ee75e}}}, 98, 196000},
-    {"dekker-fences", {{{91, 0xcb70d1ff}, {328, 0xb3bf310c}, {328, 0xb6d60cc8}, {328, 0xb5f11874}, {328, 0xbc047740}}}, 47, 94000},
-    {"linuxrwlocks", {{{91, 0xcb70d1ff}, {208, 0xab721b9d}, {208, 0x558d0c48}, {208, 0x0027fefb}, {208, 0x730225a3}}}, 25, 50000},
-    {"mcs-lock", {{{91, 0xcb70d1ff}, {496, 0xf0f4329b}, {496, 0x6d9955d3}, {496, 0xaf928ad4}, {496, 0x8c329d02}}}, 73, 146000},
-    {"mpmc-queue", {{{91, 0xcb70d1ff}, {256, 0xd64057af}, {256, 0x076ee729}, {256, 0x487488ab}, {256, 0x7e428064}}}, 34, 68000},
-    {"ms-queue", {{{91, 0xcb70d1ff}, {592, 0x75f604e3}, {592, 0x78518be1}, {592, 0x7cccf11f}, {592, 0x631e95e5}}}, 91, 182000},
-    {"httpd", {{{91, 0x9c811a9d}, {736, 0x0de702d7}, {736, 0x429257e7}, {1968, 0x780143e1}, {736, 0xdc78fd87}}}, 115, 11207563},
+    {"pbzip", {{{91, 0xcb70d1ff}, {904, 0xef9b03df}, {904, 0x5e4f88a3}, {3064, 0x0efbf97a}, {904, 0xe697981a}}}, 143, 537680, 0, 0x00000000},
+    {"barrier", {{{91, 0xcb70d1ff}, {136, 0x3806ba61}, {136, 0x9f2b58f0}, {136, 0xfdcff97f}, {136, 0x0a019b93}}}, 12, 24000, 1, 0x34c56471},
+    {"chase-lev-deque", {{{91, 0xcb70d1ff}, {640, 0x738a376d}, {640, 0xb2368543}, {640, 0xf2a2eb59}, {640, 0xea3ee75e}}}, 98, 196000, 0, 0x00000000},
+    {"dekker-fences", {{{91, 0xcb70d1ff}, {328, 0xb3bf310c}, {328, 0xb6d60cc8}, {328, 0xb5f11874}, {328, 0xbc047740}}}, 47, 94000, 0, 0x00000000},
+    {"linuxrwlocks", {{{91, 0xcb70d1ff}, {208, 0xab721b9d}, {208, 0x558d0c48}, {208, 0x0027fefb}, {208, 0x730225a3}}}, 25, 50000, 1, 0x9775039f},
+    {"mcs-lock", {{{91, 0xcb70d1ff}, {496, 0xf0f4329b}, {496, 0x6d9955d3}, {496, 0xaf928ad4}, {496, 0x8c329d02}}}, 73, 146000, 2, 0xf6236c0e},
+    {"mpmc-queue", {{{91, 0xcb70d1ff}, {256, 0xd64057af}, {256, 0x076ee729}, {256, 0x487488ab}, {256, 0x7e428064}}}, 34, 68000, 0, 0x00000000},
+    {"ms-queue", {{{91, 0xcb70d1ff}, {592, 0x75f604e3}, {592, 0x78518be1}, {592, 0x7cccf11f}, {592, 0x631e95e5}}}, 91, 182000, 5, 0x39b30cb2},
+    {"httpd", {{{91, 0x9c811a9d}, {736, 0x0de702d7}, {736, 0x429257e7}, {1968, 0x780143e1}, {736, 0xdc78fd87}}}, 115, 11207563, 4, 0xe3810a5a},
 };
 // clang-format on
 
@@ -90,9 +99,27 @@ std::string formatRow(const GoldenRow &R) {
                   I ? ", " : "", R.Streams[I].Size, R.Streams[I].Crc);
     S += Buf;
   }
-  std::snprintf(Buf, sizeof(Buf), "}}, %" PRIu64 ", %" PRIu64 "},",
-                R.Ticks, R.VirtualNs);
+  std::snprintf(Buf, sizeof(Buf),
+                "}}, %" PRIu64 ", %" PRIu64 ", %" PRIu64 ", 0x%08" PRIx32 "},",
+                R.Ticks, R.VirtualNs, R.Races, R.RaceCrc);
   return S + Buf;
+}
+
+/// One line per report, sorted: (Prior, Current, Size, PriorTid,
+/// CurrentTid, Name). Addresses are left out; they move with ASLR.
+std::string raceDigestText(const std::vector<RaceReport> &Races) {
+  std::vector<std::string> Lines;
+  for (const RaceReport &R : Races)
+    Lines.push_back(std::to_string(static_cast<unsigned>(R.Prior)) + " " +
+                    std::to_string(static_cast<unsigned>(R.Current)) + " " +
+                    std::to_string(R.Size) + " " +
+                    std::to_string(R.PriorTid) + " " +
+                    std::to_string(R.CurrentTid) + " " + R.Name + "\n");
+  std::sort(Lines.begin(), Lines.end());
+  std::string Text;
+  for (const std::string &L : Lines)
+    Text += L;
+  return Text;
 }
 
 const GoldenRow *committedRow(const std::string &Name) {
@@ -123,6 +150,9 @@ GoldenRow digestDirectory(const std::string &Name, const std::string &Dir,
   }
   Row.Ticks = R.Sched.Ticks;
   Row.VirtualNs = R.VirtualNs;
+  Row.Races = R.Races.size();
+  const std::string Text = raceDigestText(R.Races);
+  Row.RaceCrc = crc32(Text.data(), Text.size());
   return Row;
 }
 

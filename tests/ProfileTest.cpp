@@ -26,6 +26,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 using namespace tsr;
 
 namespace {
@@ -577,7 +579,8 @@ TEST(ProfileMetrics, SampleStatsJsonCarriesPercentiles) {
 //===----------------------------------------------------------------------===//
 
 TEST(Telemetry, StreamsWellFormedJsonlWithFinalFrame) {
-  const std::string Path = ::testing::TempDir() + "tsr_telemetry_test.jsonl";
+  const std::string Path = ::testing::TempDir() + "tsr_telemetry_test-" +
+                           std::to_string(::getpid()) + ".jsonl";
   pbzip::PbzipConfig PC;
   SessionConfig C = profiledConfig(Mode::Record);
   C.Telemetry.Enabled = true;
@@ -636,7 +639,8 @@ TEST(Telemetry, DisabledStreamsNothingAndPublishesNoMetrics) {
 //===----------------------------------------------------------------------===//
 
 TEST(ProfileExport, ChromeExportLayersCounterTrackAndFlows) {
-  const std::string Path = ::testing::TempDir() + "tsr_profile_chrome.json";
+  const std::string Path = ::testing::TempDir() + "tsr_profile_chrome-" +
+                           std::to_string(::getpid()) + ".json";
   pbzip::PbzipConfig PC;
   SessionConfig C = profiledConfig(Mode::Record);
   C.Trace.Enabled = true;

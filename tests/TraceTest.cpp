@@ -25,6 +25,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 using namespace tsr;
 
 namespace {
@@ -453,7 +455,8 @@ TEST(TraceDesync, TruncatedDemoReportCarriesTimeline) {
 
 TEST(TraceExport, ChromeTraceJsonIsStructurallyValid) {
   SessionConfig C = tracedConfig(StrategyKind::Queue, Mode::Free);
-  const std::string Path = ::testing::TempDir() + "tsr-trace-export.json";
+  const std::string Path = ::testing::TempDir() + "tsr-trace-export-" +
+                           std::to_string(::getpid()) + ".json";
   C.Trace.ExportChromePath = Path;
   Session S(C);
   Atomic<int> X(0);
