@@ -59,9 +59,10 @@ check BENCH_recovery.json \
   p50 p95 p99
 
 check BENCH_race_overhead.json \
-  bench workload reps iters configs name threads plain_accesses \
-  same_epoch_hits fast_path_hits accesses_per_sec \
-  wall_ms apps same_epoch_fraction litmus identical_reports p50 p95 p99
+  bench workload warmup_reps reps iters configs name threads \
+  plain_accesses same_epoch_hits fast_path_hits accesses_per_sec_median \
+  accesses_per_sec_iqr accesses_per_sec wall_ms apps same_epoch_fraction \
+  litmus identical_reports p50 p95 p99
 
 check BENCH_fleet_throughput.json \
   bench workload reps requests_per_session solo_wall_ms max_sessions \

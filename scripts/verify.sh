@@ -8,12 +8,13 @@
 #        [--profile] [--fleet] [--tsan]
 #   --fast          plain configuration only (skips the sanitizer builds).
 #   --tsan          run only the lock-free commit-pipeline gate: the
-#                   scheduler (TickCommit.* included), litmus, trace and
-#                   golden-demo suites
+#                   scheduler (TickCommit.* included), litmus, trace,
+#                   golden-demo, cost-model and PARSEC suites
 #                   built with TSR_SANITIZE=thread, so the ticket/epoch
-#                   fast path's atomics are checked by ThreadSanitizer
-#                   rather than by code review alone, and a sanitizer
-#                   build must record the same demo bytes.
+#                   fast path's atomics and the cost model's lock-free
+#                   clocks are checked by ThreadSanitizer rather than by
+#                   code review alone, and a sanitizer build must record
+#                   the same demo bytes.
 #   --crash-matrix  run only the CrashRecovery kill-matrix tests (plain +
 #                   ASan) — the crash-consistency gate, repeated to shake
 #                   out timing-dependent salvage bugs.
@@ -256,10 +257,10 @@ run_tsan() {
   cmake -B "$dir" -S . -DTSR_SANITIZE=thread >/dev/null
   cmake --build "$dir" -j "$JOBS" \
     --target sched_test litmus_property_test trace_test golden_demo_test \
-    >/dev/null
-  echo "== tsan: ctest -R 'Sched|TickCommit|Litmus|Trace|GoldenDemo'"
+    env_test apps_test >/dev/null
+  echo "== tsan: ctest -R 'Sched|TickCommit|Litmus|Trace|GoldenDemo|CostModel|Parsec'"
   ctest --test-dir "$dir" --output-on-failure \
-    -R 'Sched|TickCommit|Litmus|Trace|GoldenDemo'
+    -R 'Sched|TickCommit|Litmus|Trace|GoldenDemo|CostModel|Parsec'
 }
 
 if [ "$TSAN" -eq 1 ]; then

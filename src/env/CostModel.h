@@ -7,10 +7,10 @@
 ///
 /// \file
 /// A deterministic virtual-time model of the paper's performance effects.
-/// The evaluation host here has a single CPU, so the paper's headline
-/// performance phenomenon — tsan11rec preserving parallelism that rr's
-/// sequentialization destroys (§5.2, §5.3) — cannot appear in wall-clock
-/// numbers. This model reproduces it analytically and deterministically:
+/// The paper's headline performance phenomenon — tsan11rec preserving
+/// parallelism that rr's sequentialization destroys (§5.2, §5.3) —
+/// depends on the host's core count in wall-clock numbers. This model
+/// reproduces it analytically and deterministically, on any host:
 ///
 ///  * Invisible work advances only the running thread's local clock
 ///    (threads overlap freely, as on the paper's 8-core i7-4770).
@@ -34,11 +34,12 @@
 #ifndef TSR_ENV_COSTMODEL_H
 #define TSR_ENV_COSTMODEL_H
 
+#include "support/ChunkedTable.h"
 #include "support/VectorClock.h"
 
+#include <atomic>
 #include <cstdint>
 #include <mutex>
-#include <vector>
 
 namespace tsr {
 
@@ -87,7 +88,20 @@ struct CostModelConfig {
 };
 
 /// Tracks per-thread virtual clocks plus the global visible-op chain.
-/// Thread-safe; invisible-work updates take a short internal lock.
+///
+/// The state is owned by the scheduler's critical section, like the
+/// scheduler's committer state (DESIGN.md §14.5): threadStart, visibleOp,
+/// syncAcquire/syncRelease, waitUntil, advance and markEagerStall run
+/// inside one (or in its commit), so they take no lock. Three callers
+/// run outside it:
+///
+///  * work() and blockingOp() by the thread itself, from invisible code.
+///    They add to the thread's clock with fetch_add, because another
+///    thread's eager-stall charge adds to every clock at the same time.
+///  * rr-sim (SequentializeAll): there work() and blockingOp() reach
+///    GlobalChain from invisible code, so every chain update takes the
+///    chain lock, a leaf lock used only in that configuration.
+///  * The watchdog's makespan(), which reads the relaxed clocks.
 class CostModel {
 public:
   explicit CostModel(CostModelConfig Config = {}) : Config(Config) {}
@@ -125,37 +139,48 @@ public:
   /// was not virtually behind on declared work).
   void markEagerStall(Tid T);
 
-  /// Charges a serialization stall to the global chain (see
-  /// EagerPickStallNs).
-  void chainPenalty(VTime Ns);
-
   /// Current local time of \p T.
-  VTime localTime(Tid T);
+  VTime localTime(Tid T) const;
 
   /// Makespan: the maximum local time across all threads.
-  VTime makespan();
+  VTime makespan() const;
 
   /// Number of eager-designation stalls charged so far.
-  uint64_t eagerStallCount();
+  uint64_t eagerStallCount() const;
 
   /// Total virtual ns charged for eager-designation stalls.
-  uint64_t eagerChargedNs();
+  uint64_t eagerChargedNs() const;
 
   const CostModelConfig &config() const { return Config; }
 
 private:
-  void chain(Tid T, VTime Cost);
+  struct Slot {
+    /// The thread's virtual clock. Relaxed atomic: the thread's own
+    /// work() and another thread's eager-stall charge may add at once.
+    std::atomic<VTime> Local{0};
+    /// Declared invisible work since the thread's last visible op; the
+    /// basis of the eager-designation stall estimate. Touched only by
+    /// the thread itself.
+    VTime WorkSinceOp = 0;
+    /// Set by the commit that designates the thread eagerly; consumed by
+    /// its next visible op, which the grant orders after that commit.
+    bool EagerStalled = false;
+  };
+
+  void chain(Slot &S, VTime Cost);
 
   CostModelConfig Config;
-  std::mutex Mu;
-  std::vector<VTime> Local;
-  /// Declared invisible work since the thread's last visible op; the
-  /// basis of the eager-designation stall estimate.
-  std::vector<VTime> WorkSinceOp;
-  std::vector<bool> EagerStalled;
-  uint64_t EagerStalls = 0;
-  VTime EagerChargedNs = 0;
-  VTime GlobalChain = 0;
+  /// Per-thread slots; entries never move, so off-chain work() and the
+  /// watchdog index them while a critical section appends.
+  ChunkedTable<Slot> Slots;
+  /// rr-sim's chain lock: a leaf lock, taken only under SequentializeAll.
+  std::mutex ChainMu;
+  // Critical-section state. Relaxed atomics rather than plain fields
+  // only because a retiring thread's degenerate critical section may
+  // overlap the one in-flight section while a session is torn down.
+  std::atomic<VTime> GlobalChain{0};
+  std::atomic<uint64_t> EagerStalls{0};
+  std::atomic<VTime> EagerChargedNs{0};
 };
 
 } // namespace tsr

@@ -16,7 +16,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <new>
 
 using namespace tsr;
 
@@ -88,27 +87,6 @@ Scheduler::Scheduler(const SchedulerOptions &Opts, Demo *RecordDemo,
 }
 
 Scheduler::~Scheduler() = default;
-
-Scheduler::ThreadTable::~ThreadTable() {
-  const size_t N = size();
-  for (size_t I = 0; I != N; ++I)
-    (*this)[I].~ThreadState();
-  std::allocator<ThreadState> Alloc;
-  for (unsigned K = 0; K != MaxChunks && Chunks[K]; ++K)
-    Alloc.deallocate(Chunks[K], ChunkBase << K);
-}
-
-Scheduler::ThreadState &Scheduler::ThreadTable::emplace_back() {
-  const size_t I = Size.load(std::memory_order_relaxed);
-  const unsigned K = chunkOf(I);
-  if (K >= MaxChunks)
-    fatal("scheduler thread table is full (%zu threads)", I);
-  if (!Chunks[K])
-    Chunks[K] = std::allocator<ThreadState>().allocate(ChunkBase << K);
-  ThreadState *TS = new (locate(I)) ThreadState();
-  Size.store(I + 1, std::memory_order_release);
-  return *TS;
-}
 
 void Scheduler::parseReplayStreams(const Demo &D) {
   // QUEUE: run-length-encoded tid-per-tick sequence (§4.2).
@@ -1266,7 +1244,9 @@ void Scheduler::enableForWakeupLocked(Tid T) {
 void Scheduler::removeFromWaitListsLocked(Tid T) {
   for (auto &Entry : MutexWaiters) {
     auto &V = Entry.second;
-    V.erase(std::remove(V.begin(), V.end(), T), V.end());
+    const auto Removed = std::remove(V.begin(), V.end(), T);
+    MutexWaiterCount.fetch_sub(V.end() - Removed, std::memory_order_relaxed);
+    V.erase(Removed, V.end());
   }
   for (auto &Entry : CondWaiters) {
     auto &V = Entry.second;
@@ -1515,20 +1495,29 @@ void Scheduler::mutexLockFail(Tid Self, uint64_t MutexId) {
     Prof->onBlock(CurTick.load(std::memory_order_relaxed), Self,
                   ProfileWaitKind::Mutex, MutexId);
   auto &Waiters = MutexWaiters[MutexId];
-  if (std::find(Waiters.begin(), Waiters.end(), Self) == Waiters.end())
+  if (std::find(Waiters.begin(), Waiters.end(), Self) == Waiters.end()) {
     Waiters.push_back(Self);
+    MutexWaiterCount.fetch_add(1, std::memory_order_relaxed);
+  }
 }
 
 void Scheduler::mutexAcquired(Tid Self, uint64_t MutexId) {
+  // Uncontended fast exit: no waiter anywhere, so Self is on no list.
+  if (MutexWaiterCount.load(std::memory_order_relaxed) == 0)
+    return;
   std::lock_guard<std::mutex> L(Mu);
   auto It = MutexWaiters.find(MutexId);
   if (It == MutexWaiters.end())
     return;
   auto &V = It->second;
-  V.erase(std::remove(V.begin(), V.end(), Self), V.end());
+  const auto Removed = std::remove(V.begin(), V.end(), Self);
+  MutexWaiterCount.fetch_sub(V.end() - Removed, std::memory_order_relaxed);
+  V.erase(Removed, V.end());
 }
 
 void Scheduler::mutexUnlock(Tid Self, uint64_t MutexId) {
+  if (MutexWaiterCount.load(std::memory_order_relaxed) == 0)
+    return;
   std::lock_guard<std::mutex> L(Mu);
   auto It = MutexWaiters.find(MutexId);
   if (It == MutexWaiters.end() || It->second.empty())
@@ -1537,6 +1526,7 @@ void Scheduler::mutexUnlock(Tid Self, uint64_t MutexId) {
   const size_t Idx = Strat->pickWaiter(Waiters, Rng);
   const Tid T = Waiters[Idx];
   Waiters.erase(Waiters.begin() + Idx);
+  MutexWaiterCount.fetch_sub(1, std::memory_order_relaxed);
   auto &TS = Threads[T];
   assert(TS.Waiting == WaitKind::Mutex && TS.WaitObj == MutexId &&
          "mutex waiter list out of sync");

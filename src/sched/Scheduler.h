@@ -30,13 +30,13 @@
 #include "sched/Common.h"
 #include "sched/Strategy.h"
 #include "support/ByteStream.h"
+#include "support/ChunkedTable.h"
 #include "support/Demo.h"
 #include "support/Prng.h"
 #include "support/Recovery.h"
 #include "support/Rle.h"
 
 #include <atomic>
-#include <bit>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -429,6 +429,11 @@ public:
 
   SchedulerStats statsSnapshot();
 
+  /// Entries across all mutex waiter lists (MutexWaiterCount below).
+  size_t mutexWaiterCount() const {
+    return MutexWaiterCount.load(std::memory_order_relaxed);
+  }
+
   /// Renders thread states for diagnostics (watchdog & deadlock reports).
   std::string dumpState();
 
@@ -487,67 +492,9 @@ private:
 
   /// The thread table. Entries never move: a claimant spinning in
   /// tryFastClaim reads its own flags, and a committer scans the Parked
-  /// flags, while the critical thread's threadNew may be appending. A
-  /// growing vector would free the storage under those lock-free reads,
-  /// so entries live in chunks that are allocated once and kept until
-  /// the scheduler dies; chunk K holds ChunkBase << K entries, so a
-  /// fixed directory of MaxChunks pointers covers every Tid. Appends
-  /// happen only in threadNew/addMainThread, under Mu.
-  class ThreadTable {
-  public:
-    ThreadTable() = default;
-    ThreadTable(const ThreadTable &) = delete;
-    ThreadTable &operator=(const ThreadTable &) = delete;
-    ~ThreadTable();
-
-    size_t size() const { return Size.load(std::memory_order_acquire); }
-    bool empty() const { return size() == 0; }
-    ThreadState &operator[](size_t I) { return *locate(I); }
-    const ThreadState &operator[](size_t I) const { return *locate(I); }
-
-    /// Appends a default-constructed entry and returns it.
-    ThreadState &emplace_back();
-
-    template <typename Table, typename Elem> class Iter {
-    public:
-      Iter(Table *T, size_t I) : T(T), I(I) {}
-      Elem &operator*() const { return (*T)[I]; }
-      Iter &operator++() {
-        ++I;
-        return *this;
-      }
-      bool operator!=(const Iter &O) const { return I != O.I; }
-
-    private:
-      Table *T;
-      size_t I;
-    };
-    Iter<ThreadTable, ThreadState> begin() { return {this, 0}; }
-    Iter<ThreadTable, ThreadState> end() { return {this, size()}; }
-    Iter<const ThreadTable, const ThreadState> begin() const {
-      return {this, 0};
-    }
-    Iter<const ThreadTable, const ThreadState> end() const {
-      return {this, size()};
-    }
-
-  private:
-    static constexpr size_t ChunkBase = 16;
-    static constexpr unsigned MaxChunks = 28;
-    static unsigned chunkOf(size_t I) {
-      return static_cast<unsigned>(std::bit_width(I / ChunkBase + 1)) - 1;
-    }
-    static size_t chunkStart(unsigned K) {
-      return ((size_t(1) << K) - 1) * ChunkBase;
-    }
-    ThreadState *locate(size_t I) const {
-      const unsigned K = chunkOf(I);
-      return Chunks[K] + (I - chunkStart(K));
-    }
-
-    ThreadState *Chunks[MaxChunks] = {};
-    std::atomic<size_t> Size{0};
-  };
+  /// flags, while the critical thread's threadNew may be appending.
+  /// Appends happen only in threadNew/addMainThread, under Mu.
+  using ThreadTable = ChunkedTable<ThreadState>;
 
   struct SignalEntry {
     uint64_t Tick;
@@ -654,6 +601,13 @@ private:
 
   ThreadTable Threads;
   std::unordered_map<uint64_t, std::vector<Tid>> MutexWaiters;
+  /// Number of entries across all MutexWaiters lists. Changed only under
+  /// Mu; read without it by mutexAcquired/mutexUnlock, which skip Mu when
+  /// it is zero. Exact for them: entries are added only inside critical
+  /// sections (mutexLockFail), which the grant chain orders before the
+  /// reader's, and the paths that run outside the chain (postSignal's
+  /// wakeups) only remove (DESIGN.md §14.5).
+  std::atomic<size_t> MutexWaiterCount{0};
   std::unordered_map<uint64_t, std::vector<Tid>> CondWaiters;
 
   //===--------------------------------------------------------------------===//

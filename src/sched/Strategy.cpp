@@ -56,16 +56,6 @@ size_t Strategy::pickWaiter(const std::vector<Tid> &Waiters, Prng &) {
 
 namespace {
 
-/// Collects the enabled thread ids in ascending tid order, giving every
-/// strategy a deterministic iteration basis.
-std::vector<Tid> enabledThreads(const ThreadView &Threads) {
-  std::vector<Tid> Out;
-  for (Tid T = 0, E = Threads.threadCount(); T != E; ++T)
-    if (Threads.isEnabled(T))
-      Out.push_back(T);
-  return Out;
-}
-
 /// Controlled random scheduling (§3): the next thread is drawn uniformly
 /// from all enabled threads at each scheduling point. A chosen thread need
 /// not have reached Wait() yet — the scheduler stalls until it arrives,
@@ -75,11 +65,21 @@ class RandomStrategy final : public Strategy {
 public:
   StrategyKind kind() const override { return StrategyKind::Random; }
 
+  // Draws the k-th enabled thread in ascending tid order: the draw a
+  // collected list of enabled tids would take, without building one per
+  // tick.
   Tid pickNext(const ThreadView &Threads, Prng &Rng) override {
-    const std::vector<Tid> Enabled = enabledThreads(Threads);
-    if (Enabled.empty())
+    const Tid N = Threads.threadCount();
+    uint64_t Enabled = 0;
+    for (Tid T = 0; T != N; ++T)
+      Enabled += Threads.isEnabled(T);
+    if (Enabled == 0)
       return InvalidTid;
-    return Enabled[Rng.nextBelow(Enabled.size())];
+    uint64_t K = Rng.nextBelow(Enabled);
+    for (Tid T = 0; T != N; ++T)
+      if (Threads.isEnabled(T) && K-- == 0)
+        return T;
+    TSR_UNREACHABLE("enabled set changed during pickNext");
   }
 
   size_t pickWaiter(const std::vector<Tid> &Waiters, Prng &Rng) override {

@@ -15,6 +15,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <thread>
+#include <vector>
+
 using namespace tsr;
 
 namespace {
@@ -506,6 +510,84 @@ TEST(CostModel, BlockingOpCostAppliesWhenConfigured) {
   Zero.threadStart(0, InvalidTid);
   Zero.blockingOp(0);
   EXPECT_EQ(Zero.localTime(0), 0u);
+}
+
+// work() runs outside any critical section, so it meets the eager-stall
+// charge that a visible op adds to every clock. Neither may lose the
+// other's update: each clock must end exactly where a sequential run puts
+// it.
+TEST(CostModel, ConcurrentWorkAndEagerChargeLoseNoUpdate) {
+  constexpr Tid Workers = 4;
+  constexpr int Ops = 20000;
+  constexpr VTime WorkNs = 7;
+  CostModelConfig Cfg;
+  Cfg.ChainVisibleOps = true;
+  Cfg.VisibleOpCost = 100;
+  Cfg.EagerStallFixedNs = 3;
+  // Thread 0 issues the visible ops; its clock never depends on the
+  // workers', so a sequential model of thread 0 alone gives the charges.
+  const auto Designated = [](CostModel &C) {
+    for (int I = 0; I != Ops; ++I) {
+      C.work(0, 50);
+      C.markEagerStall(0);
+      C.visibleOp(0);
+    }
+  };
+  CostModel Reference(Cfg);
+  Reference.threadStart(0, InvalidTid);
+  Designated(Reference);
+  ASSERT_EQ(Reference.eagerStallCount(), static_cast<uint64_t>(Ops));
+
+  CostModel C(Cfg);
+  for (Tid T = 0; T <= Workers; ++T)
+    C.threadStart(T, InvalidTid);
+  std::vector<std::thread> Threads;
+  for (Tid T = 1; T <= Workers; ++T)
+    Threads.emplace_back([&C, T] {
+      for (int I = 0; I != Ops; ++I)
+        C.work(T, WorkNs);
+    });
+  Designated(C);
+  for (std::thread &Th : Threads)
+    Th.join();
+
+  EXPECT_EQ(C.eagerStallCount(), Reference.eagerStallCount());
+  EXPECT_EQ(C.eagerChargedNs(), Reference.eagerChargedNs());
+  EXPECT_EQ(C.localTime(0), Reference.localTime(0));
+  for (Tid T = 1; T <= Workers; ++T)
+    EXPECT_EQ(C.localTime(T), Ops * WorkNs + Reference.eagerChargedNs())
+        << "worker " << T;
+}
+
+// Starting a thread may allocate a new slot chunk while other threads'
+// work() and the watchdog's makespan() index the existing slots: no slot
+// may move or lose its clock.
+TEST(CostModel, SlotsSurviveGrowthWhileWorking) {
+  constexpr Tid Workers = 4;
+  constexpr Tid Started = 300; // several chunks past the first
+  constexpr int Ops = 20000;
+  CostModel C((CostModelConfig()));
+  for (Tid T = 0; T != Workers; ++T)
+    C.threadStart(T, InvalidTid);
+  std::vector<std::thread> Threads;
+  for (Tid T = 0; T != Workers; ++T)
+    Threads.emplace_back([&C, T] {
+      for (int I = 0; I != Ops; ++I)
+        C.work(T, 1);
+    });
+  VTime Seen = 0;
+  for (Tid T = Workers; T != Started; ++T) {
+    C.threadStart(T, InvalidTid);
+    Seen = std::max(Seen, C.makespan());
+  }
+  for (std::thread &Th : Threads)
+    Th.join();
+  EXPECT_LE(Seen, static_cast<VTime>(Ops));
+  for (Tid T = 0; T != Workers; ++T)
+    EXPECT_EQ(C.localTime(T), static_cast<VTime>(Ops)) << "worker " << T;
+  for (Tid T = Workers; T != Started; ++T)
+    EXPECT_EQ(C.localTime(T), 0u) << "started " << T;
+  EXPECT_EQ(C.makespan(), static_cast<VTime>(Ops));
 }
 
 //===----------------------------------------------------------------------===//

@@ -713,6 +713,75 @@ TEST(SchedWakeup, TargetedParkingHasZeroSpuriousWakeupsQueue) {
   EXPECT_GT(R.Sched.TargetedWakeups, 0u);
 }
 
+/// A mutex waiter is taken off its list by a signal wakeup (the async
+/// removeFromWaitListsLocked path), blocks again after its handler, and
+/// then receives the mutex on unlock. The waiter count that lets the
+/// uncontended lock/unlock skip the scheduler mutex must follow every
+/// step, or the unlock would miss its waiter.
+RunReport signalledMutexWaiterRun(const SessionConfig &C,
+                                  int &ChildLocks) {
+  Session S(C);
+  ChildLocks = 0;
+  RunReport R = S.run([&S, &ChildLocks] {
+    Mutex M;
+    Atomic<int> HandlerRan(0);
+    // Read inside a critical section: the count is part of the schedule
+    // only there.
+    const auto Waiters = [&S] {
+      return S.visibleOp([&S](Tid) { return S.sched().mutexWaiterCount(); });
+    };
+    const auto AwaitWaiter = [&Waiters] {
+      for (int I = 0; I != 10000 && Waiters() == 0; ++I) {
+      }
+    };
+    installSignalHandler(13, [&HandlerRan] { HandlerRan.store(1); });
+    M.lock();
+    Thread T = Thread::spawn([&M, &ChildLocks] {
+      M.lock(); // main holds M: the failed trylock disables this thread
+      ++ChildLocks;
+      M.unlock();
+    });
+    AwaitWaiter();
+    EXPECT_EQ(Waiters(), 1u);
+    raiseSignal(T.tid(), 13); // enables the waiter, leaving its list
+    while (HandlerRan.load() == 0) {
+    }
+    AwaitWaiter(); // the retry after the handler fails again
+    M.unlock();    // hands M to the waiter
+    M.lock();
+    M.unlock();
+    T.join();
+    EXPECT_EQ(Waiters(), 0u);
+  });
+  EXPECT_EQ(S.sched().mutexWaiterCount(), 0u);
+  return R;
+}
+
+TEST(SchedWakeup, SignalledMutexWaiterKeepsTheWaiterCountExact) {
+  for (const StrategyKind K : {StrategyKind::Random, StrategyKind::Queue}) {
+    SessionConfig C = fixedSeeds(
+        presets::tsan11rec(K, Mode::Record, RecordPolicy::full()), 14);
+    C.LivenessIntervalMs = 0;
+    int RecordLocks = 0;
+    const RunReport Recorded = signalledMutexWaiterRun(C, RecordLocks);
+    ASSERT_EQ(Recorded.Desync, DesyncKind::None) << strategyName(K);
+    EXPECT_FALSE(Recorded.Deadlocked) << strategyName(K);
+    EXPECT_EQ(RecordLocks, 1) << strategyName(K);
+    EXPECT_EQ(Recorded.Sched.SignalWakeups, 1u) << strategyName(K);
+    EXPECT_EQ(Recorded.Sched.SpuriousWakeups, 0u) << strategyName(K);
+
+    C.ExecMode = Mode::Replay;
+    C.ReplayDemo = &Recorded.RecordedDemo;
+    int ReplayLocks = 0;
+    const RunReport Replayed = signalledMutexWaiterRun(C, ReplayLocks);
+    EXPECT_EQ(Replayed.Desync, DesyncKind::None) << strategyName(K);
+    EXPECT_EQ(Replayed.Sched.Ticks, Recorded.Sched.Ticks) << strategyName(K);
+    EXPECT_EQ(ReplayLocks, 1) << strategyName(K);
+    EXPECT_EQ(Replayed.Sched.SignalWakeups, 1u) << strategyName(K);
+    EXPECT_EQ(Replayed.Sched.SpuriousWakeups, 0u) << strategyName(K);
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // Tick commit pipeline
 //===----------------------------------------------------------------------===//

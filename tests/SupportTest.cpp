@@ -8,6 +8,7 @@
 #include "support/ByteStream.h"
 #include "support/Demo.h"
 #include "support/Diag.h"
+#include "support/Host.h"
 #include "support/Prng.h"
 #include "support/Rle.h"
 #include "support/Stats.h"
@@ -510,5 +511,34 @@ TEST(Diag, QuietWarningsTogglesAndRestores) {
   const bool Was = quietWarnings(true);
   EXPECT_EQ(quietWarnings(Was), true);
 }
+
+//===----------------------------------------------------------------------===//
+// Host
+//===----------------------------------------------------------------------===//
+
+// Only the cpu.max parser is tested: usableCpus() reads the file of the
+// cgroup the test runs in, which may be absent or unlimited.
+TEST(Host, CpuMaxWithoutLimitIsNoCap) {
+  EXPECT_EQ(parseCpuMax("max 100000"), std::nullopt);
+  EXPECT_EQ(parseCpuMax("max 100000\n"), std::nullopt);
+}
+
+TEST(Host, CpuMaxQuotaRoundsUpToWholeCpus) {
+  EXPECT_EQ(parseCpuMax("200000 100000"), 2u);
+  EXPECT_EQ(parseCpuMax("200000 100000\n"), 2u);
+  EXPECT_EQ(parseCpuMax("250000 100000"), 3u);
+  EXPECT_EQ(parseCpuMax("50000 100000"), 1u);
+  EXPECT_EQ(parseCpuMax("0 100000"), 1u);
+}
+
+TEST(Host, CpuMaxMalformedIsNoCap) {
+  for (const char *Text : {"", "\n", "max", "200000", "200000 ", " 200000 1",
+                           "200000 0", "200000 100000 7", "200000\t100000",
+                           "-1 100000", "abc 100000", "200000 10x",
+                           "99999999999999999999 1"})
+    EXPECT_EQ(parseCpuMax(Text), std::nullopt) << '"' << Text << '"';
+}
+
+TEST(Host, UsableCpusIsPositive) { EXPECT_GE(usableCpus(), 1u); }
 
 } // namespace
